@@ -126,28 +126,11 @@ namespace detail {
 EventTrace run_event_sim_span(const SnnNetwork& net, const float* image, std::int64_t c,
                               std::int64_t h, std::int64_t w, SimArena& arena);
 
-// Building blocks shared verbatim with the quantized simulator (quant.cpp),
-// so the parts of the event path that are pure spike bookkeeping — bucket
-// scatter, the dense fire phase, earliest-spike-wins pooling — are literally
-// the same code in both and agree trivially.
-
-// Scatters the fire steps in `steps` (CHW order, kNoSpike = silent) into
-// out.spikes via the per-timestep histogram in `counts` (exclusive prefix
-// sum); the concatenated buckets are the (step, neuron)-sorted emission
-// order. Sets neuron_count and encoder_cycles = window + spikes.
-void scatter_buckets(const int* steps, std::int64_t n, std::int64_t* counts, int window,
-                     LayerEventTrace& out);
-
-// Fire phase over a dense float membrane span in CHW (= neuron) order.
-void fire_span(const ThresholdLut& lut, const float* vmem, std::int64_t n, SimArena& arena,
-               LayerEventTrace& out);
-
-// Earliest-spike-wins pooling over one layer's incoming spikes on a
-// (c, h, w) grid; encoder_cycles is 0 (pools reshuffle spikes, no encoder
-// pass). The caller advances its shape with the same (k, stride) formula.
-LayerEventTrace pool_layer(const SnnPool& pool, const std::vector<Spike>& in_spikes,
-                           std::int64_t c, std::int64_t h, std::int64_t w, int window,
-                           SimArena& arena);
+// The quantized backend's entry point, detail::run_quantized_event_sim_span
+// (quant.h), is this same driver instantiated on the log-code accumulator
+// policy: one layer walk, fire phase, pooling and op/cycle accounting, with
+// only the per-synapse arithmetic and the register read swapped (see the
+// policies in event_sim.cpp).
 }  // namespace detail
 
 // Result of a batched event simulation. Traces are indexed by sample in input

@@ -49,10 +49,12 @@ class Base2Kernel {
   double min_level() const { return level(window_ - 1); }
 
   // First step k in [0, T-1] with u >= level(k); kNoSpike if none (u too
-  // small, zero or negative). Robust at exact grid points: the log-domain
-  // estimate is refined with direct comparisons so level(k) inputs round-trip.
+  // small, zero, negative or NaN; +Inf fires at step 0). Robust at exact grid
+  // points: the log-domain estimate is refined with direct comparisons so
+  // level(k) inputs round-trip. The guard is written !(u >= ...) because every
+  // comparison with NaN is false: NaN returns here, never reaching the cast.
   int fire_step(double u) const {
-    if (u < min_level() || u <= 0.0) return kNoSpike;
+    if (u <= 0.0 || !(u >= min_level())) return kNoSpike;
     if (u >= theta0_) return 0;
     int k = static_cast<int>(std::ceil(-tau_ * std::log2(u / theta0_)));
     if (k < 0) k = 0;
@@ -105,7 +107,7 @@ class BaseEKernel {
   double min_level() const { return level(window_ - 1); }
 
   int fire_step(double u) const {
-    if (u <= 0.0 || u < min_level()) return kNoSpike;
+    if (u <= 0.0 || !(u >= min_level())) return kNoSpike;  // NaN: silent
     if (u >= level(0)) return 0;
     // The closed form k = ceil(td - tau*ln(u/theta0)) can be off by one in
     // floating point; clamp then refine by direct comparison.
@@ -151,9 +153,10 @@ class ThresholdLut {
   double level(int k) const { return levels_[static_cast<std::size_t>(k)]; }
   const std::vector<double>& levels() const { return levels_; }
 
-  // First step k with u >= level(k); kNoSpike when u can't reach any level.
+  // First step k with u >= level(k); kNoSpike when u can't reach any level
+  // or is NaN, exactly like Kernel::fire_step.
   int fire_step(double u) const {
-    if (u <= 0.0 || u < levels_.back()) return kNoSpike;
+    if (u <= 0.0 || !(u >= levels_.back())) return kNoSpike;
     if (u >= top_) return 0;
     const auto it = std::partition_point(levels_.begin(), levels_.end(),
                                          [u](double lv) { return u < lv; });

@@ -68,97 +68,7 @@ inline void tap_axpy(float* acc, const float* w, float v, std::int64_t n) {
   axpy_elems(acc, w, v, n);
 }
 
-template <bool Simd>
-std::int64_t integrate_conv_impl(const ConvGeom& g, const float* w, const Spike* spikes,
-                                 std::int64_t nspikes, const ThresholdLut& lut, float* acc,
-                                 std::int64_t yo0, std::int64_t yo1) {
-  // Cache blocking: tile [yo0, yo1) into row blocks whose accumulator spans
-  // fit acc_block_bytes(), block outermost — each tile's rows are touched by
-  // every timestep group while resident instead of the whole accumulator
-  // streaming through cache once per group. Per-accumulator add order is
-  // untouched (a (yo, xo) row lives in exactly one block and sees the spike
-  // train in its original order).
-  const std::int64_t row_bytes =
-      g.ow * g.cstride * static_cast<std::int64_t>(sizeof(float));
-  std::int64_t block_rows = yo1 - yo0;
-  if (row_bytes > 0) {
-    const std::int64_t budget = acc_block_bytes() / row_bytes;
-    block_rows = std::max<std::int64_t>(1, std::min(block_rows, budget));
-  }
-
-  const std::int64_t plane = g.hin * g.win;
-  std::int64_t ops = 0;
-  for (std::int64_t b0 = yo0; b0 < yo1; b0 += block_rows) {
-    const std::int64_t b1 = std::min(yo1, b0 + block_rows);
-    for (std::int64_t si = 0; si < nspikes;) {
-      const int step = spikes[si].step;
-      std::int64_t se = si;
-      while (se < nspikes && spikes[se].step == step) ++se;
-      // One level lookup per timestep group, like the hardware presenting
-      // one threshold per cycle.
-      const float value = static_cast<float>(lut.level(step));
-      for (std::int64_t s = si; s < se; ++s) {
-        const std::int64_t neuron = spikes[s].neuron;
-        const std::int64_t ci = neuron / plane;
-        const std::int64_t yi = (neuron / g.win) % g.hin;
-        const std::int64_t xi = neuron % g.win;
-        const float* wslots = w + ci * g.kh * g.kw * g.cstride;
-        for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-          const std::int64_t ynum = yi + g.pad - ky;
-          if (ynum < 0 || ynum % g.stride != 0) continue;
-          const std::int64_t yo = ynum / g.stride;
-          if (yo < b0 || yo >= b1) continue;
-          for (std::int64_t kx = 0; kx < g.kw; ++kx) {
-            const std::int64_t xnum = xi + g.pad - kx;
-            if (xnum < 0 || xnum % g.stride != 0) continue;
-            const std::int64_t xo = xnum / g.stride;
-            if (xo >= g.ow) continue;
-            tap_axpy<Simd>(acc + (yo * g.ow + xo) * g.cstride,
-                           wslots + (ky * g.kw + kx) * g.cstride, value, g.cstride);
-            ops += g.cout;  // padding lanes do not count as work
-          }
-        }
-      }
-      si = se;
-    }
-  }
-  return ops;
-}
-
-template <bool Simd>
-std::int64_t integrate_fc_impl(std::int64_t out, std::int64_t ostride, const float* w,
-                               const Spike* spikes, std::int64_t nspikes,
-                               const ThresholdLut& lut, float* acc, std::int64_t j0,
-                               std::int64_t j1) {
-  // Column blocks sized to acc_block_bytes(), rounded to whole lanes so
-  // every inner span stays lane-aligned.
-  std::int64_t block =
-      acc_block_bytes() / static_cast<std::int64_t>(sizeof(float)) / kLaneFloats * kLaneFloats;
-  block = std::max(block, kLaneFloats);
-
-  std::int64_t ops = 0;
-  for (std::int64_t b0 = j0; b0 < j1; b0 += block) {
-    const std::int64_t b1 = std::min(j1, b0 + block);
-    // Real (unpadded) columns in this block: what the op counter owes.
-    const std::int64_t real = std::max<std::int64_t>(
-        0, std::min(b1, out) - std::min(b0, out));
-    for (std::int64_t si = 0; si < nspikes;) {
-      const int step = spikes[si].step;
-      std::int64_t se = si;
-      while (se < nspikes && spikes[se].step == step) ++se;
-      const float value = static_cast<float>(lut.level(step));
-      for (std::int64_t s = si; s < se; ++s) {
-        const float* col = w + static_cast<std::int64_t>(spikes[s].neuron) * ostride;
-        tap_axpy<Simd>(acc + b0, col + b0, value, b1 - b0);
-      }
-      si = se;
-    }
-    ops += real * nspikes;
-  }
-  return ops;
-}
-
-// --- Quantized (fixed-point) integration --------------------------------------
+// --- Quantized (fixed-point) synaptic product ---------------------------------
 //
 // One synaptic product in accumulator LSBs: the LogPe datapath (exponent add,
 // 2^f-entry LUT read, barrel shift with round-to-nearest) for weight code q
@@ -189,28 +99,152 @@ inline void quant_add(std::int32_t& acc, std::int64_t add, std::int64_t limit) {
   acc = static_cast<std::int32_t>(v);
 }
 
-// Per-timestep-group product table over the layer's code range: the inner
-// loops then run pure table-indexed adds, one entry per distinct q — the
-// software analog of the PE evaluating each exponent sum once per threshold
-// step. Bounded at kMaxQuantCodes (simd.h); the pack build caps the range.
-inline void fill_quant_table(const QuantKernelParams& qp, int step, std::int64_t* table) {
-  for (int q = qp.q_lo; q <= qp.q_hi; ++q) {
-    table[q - qp.q_lo] = quant_product(qp, q, step);
+// --- Accumulator policies ------------------------------------------------------
+//
+// The two layer traversals below are written once and templated on a policy
+// that names the weight and register types and supplies the only per-synapse
+// difference between float and log-code arithmetic (Eq. 17):
+//   step_prepare(step) — once per timestep group, like the hardware presenting
+//                        one threshold per cycle;
+//   span_add(acc, w, n) — one tap's weight span into one accumulator span.
+
+// Float membranes: acc[i] += w[i] * level(step), AVX2 or scalar.
+template <bool Simd>
+struct FloatTaps {
+  using Weight = float;
+  using Acc = float;
+
+  explicit FloatTaps(const ThresholdLut& l) : lut{l} {}
+  void step_prepare(int step) { value = static_cast<float>(lut.level(step)); }
+  void span_add(float* acc, const float* w, std::int64_t n) const {
+    tap_axpy<Simd>(acc, w, value, n);
   }
+
+  const ThresholdLut& lut;
+  float value = 0.0F;
+};
+
+// Log-code membranes: each add is the LogPe product into a saturating int32.
+struct LogCodeTaps {
+  using Weight = std::int16_t;
+  using Acc = std::int32_t;
+
+  explicit LogCodeTaps(const QuantKernelParams& p) : qp{p} {}
+  // One product per distinct weight code per timestep group, so the inner
+  // loop runs pure table-indexed adds. Bounded at kMaxQuantCodes (simd.h);
+  // the pack build caps the range.
+  void step_prepare(int step) {
+    for (int q = qp.q_lo; q <= qp.q_hi; ++q) table[q - qp.q_lo] = quant_product(qp, q, step);
+  }
+  // Codes are sign+q pairs (code = q*2 + negbit); kQuantZeroCode lanes (zero
+  // weights, padding) contribute nothing, like the float pack's 0.0 weights.
+  // q_lo and the limit are read into locals once: an int32 store into acc
+  // may alias the int fields of qp, so reading them in the loop would
+  // reload them after every add.
+  void span_add(std::int32_t* acc, const std::int16_t* codes, std::int64_t n) const {
+    const int q_lo = qp.q_lo;
+    const std::int64_t limit = qp.acc_limit;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int16_t c = codes[i];
+      if (c == kQuantZeroCode) continue;
+      const std::int64_t add = table[(c >> 1) - q_lo];  // arithmetic shift: q
+      quant_add(acc[i], (c & 1) != 0 ? -add : add, limit);
+    }
+  }
+
+  const QuantKernelParams& qp;
+  std::int64_t table[kMaxQuantCodes];
+};
+
+// --- Layer traversals ----------------------------------------------------------
+
+template <typename Taps>
+std::int64_t integrate_conv_impl(const ConvGeom& g, const typename Taps::Weight* w,
+                                 const Spike* spikes, std::int64_t nspikes, Taps taps,
+                                 typename Taps::Acc* acc, std::int64_t yo0, std::int64_t yo1) {
+  // Cache blocking: tile [yo0, yo1) into row blocks whose accumulator spans
+  // fit acc_block_bytes(), block outermost — each tile's rows are touched by
+  // every timestep group while resident instead of the whole accumulator
+  // streaming through cache once per group. Per-accumulator add order is
+  // untouched (a (yo, xo) row lives in exactly one block and sees the spike
+  // train in its original order), which also keeps saturating adds exact.
+  const std::int64_t row_bytes =
+      g.ow * g.cstride * static_cast<std::int64_t>(sizeof(typename Taps::Acc));
+  std::int64_t block_rows = yo1 - yo0;
+  if (row_bytes > 0) {
+    const std::int64_t budget = acc_block_bytes() / row_bytes;
+    block_rows = std::max<std::int64_t>(1, std::min(block_rows, budget));
+  }
+
+  const std::int64_t plane = g.hin * g.win;
+  std::int64_t ops = 0;
+  for (std::int64_t b0 = yo0; b0 < yo1; b0 += block_rows) {
+    const std::int64_t b1 = std::min(yo1, b0 + block_rows);
+    for (std::int64_t si = 0; si < nspikes;) {
+      const int step = spikes[si].step;
+      std::int64_t se = si;
+      while (se < nspikes && spikes[se].step == step) ++se;
+      taps.step_prepare(step);
+      for (std::int64_t s = si; s < se; ++s) {
+        const std::int64_t neuron = spikes[s].neuron;
+        const std::int64_t ci = neuron / plane;
+        const std::int64_t yi = (neuron / g.win) % g.hin;
+        const std::int64_t xi = neuron % g.win;
+        const typename Taps::Weight* wslots = w + ci * g.kh * g.kw * g.cstride;
+        for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+          const std::int64_t ynum = yi + g.pad - ky;
+          if (ynum < 0 || ynum % g.stride != 0) continue;
+          const std::int64_t yo = ynum / g.stride;
+          if (yo < b0 || yo >= b1) continue;
+          for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+            const std::int64_t xnum = xi + g.pad - kx;
+            if (xnum < 0 || xnum % g.stride != 0) continue;
+            const std::int64_t xo = xnum / g.stride;
+            if (xo >= g.ow) continue;
+            taps.span_add(acc + (yo * g.ow + xo) * g.cstride,
+                          wslots + (ky * g.kw + kx) * g.cstride, g.cstride);
+            ops += g.cout;  // padding lanes do not count as work
+          }
+        }
+      }
+      si = se;
+    }
+  }
+  return ops;
 }
 
-// Applies one weight-code span to one accumulator span: the integer analog of
-// tap_axpy. Codes are sign+q pairs (code = q*2 + negbit); kQuantZeroCode
-// lanes (zero weights, padding) contribute nothing, exactly like the float
-// pack's 0.0 weights.
-inline void quant_span_add(std::int32_t* acc, const std::int16_t* codes, std::int64_t n,
-                           const std::int64_t* table, int q_lo, std::int64_t limit) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int16_t c = codes[i];
-    if (c == kQuantZeroCode) continue;
-    const std::int64_t add = table[(c >> 1) - q_lo];  // arithmetic shift: q
-    quant_add(acc[i], (c & 1) != 0 ? -add : add, limit);
+template <typename Taps>
+std::int64_t integrate_fc_impl(std::int64_t out, std::int64_t ostride,
+                               const typename Taps::Weight* w, const Spike* spikes,
+                               std::int64_t nspikes, Taps taps, typename Taps::Acc* acc,
+                               std::int64_t j0, std::int64_t j1) {
+  // Column blocks sized to acc_block_bytes(), rounded to whole lanes so
+  // every inner span stays lane-aligned.
+  std::int64_t block = acc_block_bytes() / static_cast<std::int64_t>(sizeof(typename Taps::Acc)) /
+                       kLaneFloats * kLaneFloats;
+  block = std::max(block, kLaneFloats);
+
+  std::int64_t ops = 0;
+  for (std::int64_t b0 = j0; b0 < j1; b0 += block) {
+    const std::int64_t b1 = std::min(j1, b0 + block);
+    // Real (unpadded) columns in this block: what the op counter owes.
+    const std::int64_t real = std::max<std::int64_t>(
+        0, std::min(b1, out) - std::min(b0, out));
+    for (std::int64_t si = 0; si < nspikes;) {
+      const int step = spikes[si].step;
+      std::int64_t se = si;
+      while (se < nspikes && spikes[se].step == step) ++se;
+      taps.step_prepare(step);
+      for (std::int64_t s = si; s < se; ++s) {
+        const typename Taps::Weight* col =
+            w + static_cast<std::int64_t>(spikes[s].neuron) * ostride;
+        taps.span_add(acc + b0, col + b0, b1 - b0);
+      }
+      si = se;
+    }
+    ops += real * nspikes;
   }
+  return ops;
 }
 
 }  // namespace
@@ -249,121 +283,49 @@ void axpy_scalar(float* acc, const float* w, float v, std::int64_t n) {
   axpy_elems(acc, w, v, n);
 }
 
-void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride) {
+template <typename T>
+void broadcast_rows(T* acc, std::int64_t rows, std::int64_t stride) {
   // Doubling copy: row 0 -> row 1, rows [0,2) -> [2,4), ... O(log rows)
   // memcpys instead of a per-pixel scalar loop.
   std::int64_t filled = 1;
   while (filled < rows) {
     const std::int64_t count = std::min(filled, rows - filled);
-    std::memcpy(acc + filled * stride, acc,
-                static_cast<std::size_t>(count * stride) * sizeof(float));
+    std::memcpy(acc + filled * stride, acc, static_cast<std::size_t>(count * stride) * sizeof(T));
     filled += count;
   }
 }
+template void broadcast_rows(float*, std::int64_t, std::int64_t);
+template void broadcast_rows(std::int32_t*, std::int64_t, std::int64_t);
 
 std::int64_t integrate_conv(const ConvGeom& g, const float* w, const Spike* spikes,
                             std::int64_t nspikes, const ThresholdLut& lut, float* acc,
                             std::int64_t yo0, std::int64_t yo1) {
   if (simd_active()) {
-    return integrate_conv_impl<true>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
+    return integrate_conv_impl(g, w, spikes, nspikes, FloatTaps<true>{lut}, acc, yo0, yo1);
   }
-  return integrate_conv_impl<false>(g, w, spikes, nspikes, lut, acc, yo0, yo1);
+  return integrate_conv_impl(g, w, spikes, nspikes, FloatTaps<false>{lut}, acc, yo0, yo1);
 }
 
 std::int64_t integrate_fc(std::int64_t out, std::int64_t ostride, const float* w,
                           const Spike* spikes, std::int64_t nspikes, const ThresholdLut& lut,
                           float* acc, std::int64_t j0, std::int64_t j1) {
   if (simd_active()) {
-    return integrate_fc_impl<true>(out, ostride, w, spikes, nspikes, lut, acc, j0, j1);
+    return integrate_fc_impl(out, ostride, w, spikes, nspikes, FloatTaps<true>{lut}, acc, j0, j1);
   }
-  return integrate_fc_impl<false>(out, ostride, w, spikes, nspikes, lut, acc, j0, j1);
+  return integrate_fc_impl(out, ostride, w, spikes, nspikes, FloatTaps<false>{lut}, acc, j0, j1);
 }
 
 std::int64_t integrate_conv_q(const ConvGeom& g, const std::int16_t* w, const Spike* spikes,
                               std::int64_t nspikes, const QuantKernelParams& qp,
                               std::int32_t* acc, std::int64_t yo0, std::int64_t yo1) {
-  // Same cache blocking as integrate_conv: int32 accumulator rows are the
-  // same width as float rows, so the tiles match the float path exactly and
-  // the per-accumulator add order is identical (order only matters here
-  // because each add saturates).
-  const std::int64_t row_bytes =
-      g.ow * g.cstride * static_cast<std::int64_t>(sizeof(std::int32_t));
-  std::int64_t block_rows = yo1 - yo0;
-  if (row_bytes > 0) {
-    const std::int64_t budget = acc_block_bytes() / row_bytes;
-    block_rows = std::max<std::int64_t>(1, std::min(block_rows, budget));
-  }
-
-  std::int64_t table[kMaxQuantCodes];
-  const std::int64_t plane = g.hin * g.win;
-  std::int64_t ops = 0;
-  for (std::int64_t b0 = yo0; b0 < yo1; b0 += block_rows) {
-    const std::int64_t b1 = std::min(yo1, b0 + block_rows);
-    for (std::int64_t si = 0; si < nspikes;) {
-      const int step = spikes[si].step;
-      std::int64_t se = si;
-      while (se < nspikes && spikes[se].step == step) ++se;
-      // One product per distinct weight code per timestep group — the
-      // quantized analog of the float path's one level() per group.
-      fill_quant_table(qp, step, table);
-      for (std::int64_t s = si; s < se; ++s) {
-        const std::int64_t neuron = spikes[s].neuron;
-        const std::int64_t ci = neuron / plane;
-        const std::int64_t yi = (neuron / g.win) % g.hin;
-        const std::int64_t xi = neuron % g.win;
-        const std::int16_t* wslots = w + ci * g.kh * g.kw * g.cstride;
-        for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-          const std::int64_t ynum = yi + g.pad - ky;
-          if (ynum < 0 || ynum % g.stride != 0) continue;
-          const std::int64_t yo = ynum / g.stride;
-          if (yo < b0 || yo >= b1) continue;
-          for (std::int64_t kx = 0; kx < g.kw; ++kx) {
-            const std::int64_t xnum = xi + g.pad - kx;
-            if (xnum < 0 || xnum % g.stride != 0) continue;
-            const std::int64_t xo = xnum / g.stride;
-            if (xo >= g.ow) continue;
-            quant_span_add(acc + (yo * g.ow + xo) * g.cstride,
-                           wslots + (ky * g.kw + kx) * g.cstride, g.cout, table, qp.q_lo,
-                           qp.acc_limit);
-            ops += g.cout;  // same accounting as the float kernel
-          }
-        }
-      }
-      si = se;
-    }
-  }
-  return ops;
+  return integrate_conv_impl(g, w, spikes, nspikes, LogCodeTaps{qp}, acc, yo0, yo1);
 }
 
 std::int64_t integrate_fc_q(std::int64_t out, std::int64_t ostride, const std::int16_t* w,
                             const Spike* spikes, std::int64_t nspikes,
                             const QuantKernelParams& qp, std::int32_t* acc, std::int64_t j0,
                             std::int64_t j1) {
-  std::int64_t block =
-      acc_block_bytes() / static_cast<std::int64_t>(sizeof(std::int32_t)) / kLaneFloats *
-      kLaneFloats;
-  block = std::max(block, kLaneFloats);
-
-  std::int64_t table[kMaxQuantCodes];
-  std::int64_t ops = 0;
-  for (std::int64_t b0 = j0; b0 < j1; b0 += block) {
-    const std::int64_t b1 = std::min(j1, b0 + block);
-    const std::int64_t real = std::max<std::int64_t>(
-        0, std::min(b1, out) - std::min(b0, out));
-    for (std::int64_t si = 0; si < nspikes;) {
-      const int step = spikes[si].step;
-      std::int64_t se = si;
-      while (se < nspikes && spikes[se].step == step) ++se;
-      fill_quant_table(qp, step, table);
-      for (std::int64_t s = si; s < se; ++s) {
-        const std::int16_t* col = w + static_cast<std::int64_t>(spikes[s].neuron) * ostride;
-        quant_span_add(acc + b0, col + b0, b1 - b0, table, qp.q_lo, qp.acc_limit);
-      }
-      si = se;
-    }
-    ops += real * nspikes;
-  }
-  return ops;
+  return integrate_fc_impl(out, ostride, w, spikes, nspikes, LogCodeTaps{qp}, acc, j0, j1);
 }
 
 }  // namespace ttfs::snn::kernels

@@ -1,5 +1,5 @@
 // Quantized integer inference path: the log-quantized weight pack and the
-// fixed-point event simulator that runs on it.
+// entry point of the fixed-point event simulator that runs on it.
 //
 // The paper's premise is log-quantized weights driving a shift-add PE
 // (Eq. 15-17): every weight is sign * 2^(q * 2^-z) and every spike at step k
@@ -12,15 +12,17 @@
 //  * QuantizedWeightPack stores each weight as its exponent code `q` plus a
 //    sign, in one int16 lane per weight — half the float pack's footprint —
 //    laid out exactly like the float event pack (conv slot-major at cstride,
-//    fc column-major at ostride; see network.h) so the integer kernels
-//    (simd.h: integrate_conv_q / integrate_fc_q) walk identical strides.
-//  * run_quantized_event_sim_span mirrors the float event simulator's loop
-//    structure and ordering exactly (event_sim.cpp), but every membrane add
-//    is the LogPe LUT/barrel-shift product into a saturating int32
-//    accumulator. Spike maps, op counts and encoder cycles are asserted to
-//    match the float event sim and hw/processor co-simulation exactly; the
-//    logits differ only by the fixed-point rounding bound documented in
-//    README ("Quantized inference").
+//    fc column-major at ostride; see network.h), so the float and log-code
+//    kernels are one traversal over identical strides (simd.h:
+//    integrate_conv_q / integrate_fc_q).
+//  * run_quantized_event_sim_span is the float event simulator's driver
+//    (event_sim.cpp) instantiated on the log-code accumulator policy: same
+//    layer walk, spike ordering, op and cycle accounting and intra-sample
+//    split, but every membrane add is the LogPe LUT/barrel-shift product into
+//    a saturating int32 accumulator. Spike maps, op counts and encoder cycles
+//    are asserted to match the float event sim and hw/processor
+//    co-simulation exactly; the logits differ only by the fixed-point
+//    rounding bound documented in README ("Quantized inference").
 //
 // Pack codes: code = q * 2 + (sign < 0), with kQuantZeroCode marking zero
 // weights and padding lanes. The code stores the *quantizer-domain* q (units
@@ -112,10 +114,10 @@ QuantizedWeightPack build_quantized_pack(const SnnNetwork& net, const QuantPackC
 
 namespace detail {
 // Quantized counterpart of run_event_sim_span: one (C, H, W) sample through
-// the network's quantized pack (SnnNetwork::ensure_quantized must have run).
-// Identical loop structure, spike ordering, op and cycle accounting as the
-// float simulator; membranes accumulate in int32 LogPe arithmetic and logits
-// are the accumulators scaled back to float.
+// the network's quantized pack (SnnNetwork::ensure_quantized must have run),
+// on the same driver as the float simulator (defined in event_sim.cpp).
+// Membranes accumulate in int32 LogPe arithmetic and logits are the
+// accumulators scaled back to float.
 EventTrace run_quantized_event_sim_span(const SnnNetwork& net, const float* image,
                                         std::int64_t c, std::int64_t h, std::int64_t w,
                                         SimArena& arena);

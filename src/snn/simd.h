@@ -146,10 +146,12 @@ void axpy(float* acc, const float* w, float v, std::int64_t n);
 // The guaranteed-scalar implementation (the reference semantics).
 void axpy_scalar(float* acc, const float* w, float v, std::int64_t n);
 
-// Replicates row 0 (stride floats starting at acc) into rows [1, rows):
+// Replicates row 0 (stride elements starting at acc) into rows [1, rows):
 // the conv bias init as one packed-row broadcast instead of a per-pixel
-// double loop. Doubling memcpy — O(log rows) copies.
-void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride);
+// double loop. Doubling memcpy — O(log rows) copies. Instantiated for the
+// float and int32 (quantized) accumulators.
+template <typename T>
+void broadcast_rows(T* acc, std::int64_t rows, std::int64_t stride);
 
 // --- Layer integration kernels ----------------------------------------------
 
@@ -189,15 +191,15 @@ std::int64_t integrate_fc(std::int64_t out, std::int64_t ostride, const float* w
 
 // --- Quantized (fixed-point) integration kernels ---------------------------
 //
-// Integer variants of the two layer kernels for the quantized path (quant.h):
-// weights are int16 sign+exponent codes, the accumulator is a saturating
-// int32 fixed-point register, and each synaptic add is the cat::LogPe
-// LUT/barrel-shift product — bit-identical to LogPe::accumulate, so the
-// traces these kernels produce can be co-simulated against hw/processor
-// exactly. Scalar only (the shift-add datapath models the PE, and the scalar
-// lane is the conformance reference); same cache-blocked, timestep-grouped
-// loop structure and identical op accounting as the float kernels, so the
-// two paths emit identical spike orders and counters.
+// The same two layer traversals as integrate_conv / integrate_fc — one
+// template in kernels.cpp, instantiated on a log-code accumulator policy —
+// for the quantized path (quant.h): weights are int16 sign+exponent codes,
+// the accumulator is a saturating int32 fixed-point register, and each
+// synaptic add is the cat::LogPe LUT/barrel-shift product, bit-identical to
+// LogPe::accumulate, so the traces co-simulate against hw/processor exactly.
+// Blocking, timestep grouping, tap geometry and op accounting are shared
+// code, so both policies emit identical spike orders and counters. The
+// log-code span add is scalar.
 
 // Upper bound on a layer's weight-code range q_hi - q_lo + 1: the kernels
 // table one product per distinct code per timestep group on the stack, so the

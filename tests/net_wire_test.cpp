@@ -404,8 +404,16 @@ TEST_F(NetWireTest, StopDrainsInFlightResponses) {
   for (int i = 0; i < kBurst; ++i) {
     client.send_all(encode_request(static_cast<std::uint64_t>(i), "m0", make_image(7)));
   }
-  // Stop immediately: every submitted request must still be answered before
-  // the sockets close (the graceful-drain contract).
+  // The drain contract only covers requests the IO thread has parsed, so
+  // wait (bounded) until at least one has been before stopping; otherwise
+  // zero answers would be a legal outcome.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{5};
+  while (wire_->stats().requests < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  ASSERT_GE(wire_->stats().requests, 1U) << "no request parsed within 5 s";
+  // Stop now: every parsed request must still be answered before the
+  // sockets close (the graceful-drain contract).
   std::thread stopper{[this] { wire_->stop(); }};
   int answered = 0;
   WireResponse resp;
@@ -416,7 +424,7 @@ TEST_F(NetWireTest, StopDrainsInFlightResponses) {
   stopper.join();
   // Requests the server had fully parsed before stop() are all answered;
   // ones still in the socket buffer may be dropped (never partially
-  // answered). At least one had certainly arrived.
+  // answered). At least one was parsed before stop() began.
   EXPECT_GT(answered, 0);
   const WireStats stats = wire_->stats();
   EXPECT_EQ(stats.requests, stats.responses);

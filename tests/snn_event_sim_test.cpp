@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "snn/event_sim.h"
@@ -70,6 +71,10 @@ TEST(FirePhaseEdge, EncoderCycleAccounting) {
   EXPECT_EQ(t.encoder_cycles, ref.encoder_cycles);
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(), -std::nan(""), kInf,
+                             -kInf};
+
 TEST(ThresholdLutTest, MatchesBase2FireStepEverywhere) {
   for (const double tau : {2.0, 4.0, 3.7}) {
     const Base2Kernel k{24, tau, 1.0};
@@ -90,6 +95,11 @@ TEST(ThresholdLutTest, MatchesBase2FireStepEverywhere) {
     EXPECT_EQ(lut.fire_step(0.0), kNoSpike);
     EXPECT_EQ(lut.fire_step(k.min_level()), k.window() - 1);
     EXPECT_EQ(lut.fire_step(std::nextafter(k.min_level(), 0.0)), kNoSpike);
+    // Non-finite membranes: NaN never fires, +Inf fires at once, -Inf never.
+    for (const double u : kNonFinite) EXPECT_EQ(lut.fire_step(u), k.fire_step(u)) << "u " << u;
+    EXPECT_EQ(lut.fire_step(std::nan("")), kNoSpike);
+    EXPECT_EQ(lut.fire_step(kInf), 0);
+    EXPECT_EQ(lut.fire_step(-kInf), kNoSpike);
   }
 }
 
@@ -105,6 +115,9 @@ TEST(ThresholdLutTest, MatchesBaseEFireStepEverywhere) {
     for (int step = 0; step < k.window(); ++step) {
       EXPECT_EQ(lut.fire_step(k.level(step)), k.fire_step(k.level(step)));
     }
+    for (const double u : kNonFinite) EXPECT_EQ(lut.fire_step(u), k.fire_step(u)) << "u " << u;
+    EXPECT_EQ(k.fire_step(std::nan("")), kNoSpike);
+    EXPECT_EQ(k.fire_step(kInf), 0);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cat/logquant.h"
 #include "snn/engine.h"
 #include "snn/event_sim.h"
 #include "snn/event_sim_reference.h"
@@ -140,9 +141,9 @@ TEST(PackedLayout, PadsOutputSpansAndAlignsStorage) {
 }
 
 // Asserts one trace is bit-identical to another: every spike in emission
-// order, every per-layer counter, every logit.
+// order, every per-layer counter and, unless `logits` is false, every logit.
 void expect_traces_identical(const snn::EventTrace& got, const snn::EventTrace& want,
-                             const char* what) {
+                             const char* what, bool logits = true) {
   ASSERT_EQ(got.layers.size(), want.layers.size()) << what;
   for (std::size_t l = 0; l < want.layers.size(); ++l) {
     ASSERT_EQ(got.layers[l].spikes.size(), want.layers[l].spikes.size())
@@ -160,6 +161,7 @@ void expect_traces_identical(const snn::EventTrace& got, const snn::EventTrace& 
         << what << " layer " << l;
   }
   ASSERT_EQ(got.logits.numel(), want.logits.numel()) << what;
+  if (!logits) return;
   for (std::int64_t i = 0; i < want.logits.numel(); ++i) {
     ASSERT_EQ(got.logits[i], want.logits[i]) << what << " logit " << i;
   }
@@ -276,6 +278,36 @@ TEST(KernelConformance, IntraSampleSplitMatchesReference) {
       snn::RunResult run = session.run(snn::BatchView{one}, ropts);
       ASSERT_EQ(run.traces.size(), 1U);
       expect_traces_identical(run.traces[0], ref, scalar ? "intra-scalar" : "intra-simd");
+    }
+  }
+
+  // The log-code policy shares the split: on a log-quantized copy of the net,
+  // the split run's logits equal an inline (0-thread pool) run's bitwise —
+  // each saturating int32 add happens in the same order — and its spikes,
+  // ops and cycles equal the float reference's on that copy.
+  snn::SnnNetwork qnet = net;
+  cat::log_quantize_network(qnet, cat::LogQuantConfig{});
+  const snn::EventTrace qref = snn::reference::run_event_sim(qnet, img);
+  ThreadPool no_workers{0};
+  snn::SessionOptions inline_opts;
+  inline_opts.pool = &no_workers;
+  snn::InferenceSession qinline{qnet, snn::make_backend(snn::BackendKind::kQuantized),
+                                std::move(inline_opts)};
+  snn::SessionOptions split_opts;
+  split_opts.pool = &pool;
+  snn::InferenceSession qsplit{qnet, snn::make_backend(snn::BackendKind::kQuantized),
+                               std::move(split_opts)};
+  for (const std::int64_t block : {std::int64_t{0}, std::int64_t{256}}) {
+    ScopedBlockBytes guard{block};
+    for (const bool scalar : {false, true}) {
+      ScopedScalar path{scalar};
+      const snn::RunResult split = qsplit.run(snn::BatchView{one}, ropts);
+      const snn::RunResult inline_run = qinline.run(snn::BatchView{one}, ropts);
+      ASSERT_EQ(split.traces.size(), 1U);
+      ASSERT_EQ(inline_run.traces.size(), 1U);
+      const char* what = scalar ? "quant-intra-scalar" : "quant-intra-simd";
+      expect_traces_identical(split.traces[0], inline_run.traces[0], what);
+      expect_traces_identical(split.traces[0], qref, what, /*logits=*/false);
     }
   }
 }

@@ -19,8 +19,9 @@ three invariants CI-enforced:
      -ffp-contract=off as its effective contraction setting.
 
 "Hot function" is decided by name (see HOT_NAME_RE): the integrate_*/fire_*
-kernels, the axpy family, the quantized shift-add helpers, and the fire-phase
-bucketing. Driver functions (run_event_sim*, trace assembly) allocate their
+kernels (fire_read included), the axpy family, the accumulator policies'
+per-tap methods (step_prepare, span_add), the quantized shift-add helpers,
+and the fire-phase bucketing. Driver functions (run_event_sim*, trace assembly) allocate their
 *outputs* and are deliberately not hot.
 
 Intentional exceptions are suppressed inline, one finding per line, with a
@@ -64,7 +65,7 @@ CONTRACT_TU = "src/snn/kernels.cpp"
 # A function definition whose name matches is a hot region.
 HOT_NAME_RE = re.compile(
     r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_axpy|scatter_buckets|pool_layer"
-    r"|broadcast_rows\w*|quant_product|quant_add|quant_span_add|fill_quant_table)$"
+    r"|broadcast_rows|quant_product|quant_add|step_prepare|span_add)$"
 )
 
 # Heap-allocation (or growth) calls banned inside hot regions.
@@ -419,7 +420,7 @@ def self_test():
     with open(os.path.join(REPO_ROOT, "src/snn/kernels.cpp"), "r",
               encoding="utf-8") as fh:
         kernels = fh.read()
-    anchor = "void broadcast_rows(float* acc, std::int64_t rows, std::int64_t stride) {"
+    anchor = "void broadcast_rows(T* acc, std::int64_t rows, std::int64_t stride) {"
     if anchor not in kernels:
         failures.append("kernels.cpp anchor for injection test not found")
     else:
