@@ -1,7 +1,8 @@
 // Micro-benchmarks of the event-kernel layer (snn/simd.h): the membrane
 // vector-add at several span lengths (dispatch path and pinned-scalar
 // reference), the packed-row bias broadcast, the blocked conv/fc integration
-// kernels on VGG-width geometry, and the fire-phase spike encoder.
+// kernels on VGG-width geometry (the log-code ones also pinned scalar), and
+// the fire-phase spike encoder.
 //
 //   ./build/bench/bench_micro_kernels [--reps R] [--ms M] [--json]
 //
@@ -199,11 +200,16 @@ int main(int argc, char** argv) {
     std::int32_t* qacc = qabuf.ensure(g.oh * g.ow * g.cstride);
     std::fill(qacc, qacc + g.oh * g.ow * g.cstride, 0);
     const auto conv_spikes = full_spike_train(g.cin * g.hin * g.win, kernel.window());
-    add("integrate_conv_q", g.cout, measure(reps, ms, [&] {
-          return k::integrate_conv_q(g, qw, conv_spikes.data(),
-                                     static_cast<std::int64_t>(conv_spikes.size()), qp, qacc, 0,
-                                     g.oh);
-        }));
+    const auto conv_q = [&] {
+      return k::integrate_conv_q(g, qw, conv_spikes.data(),
+                                 static_cast<std::int64_t>(conv_spikes.size()), qp, qacc, 0, g.oh);
+    };
+    add("integrate_conv_q", g.cout, measure(reps, ms, conv_q));
+    // The same kernel pinned to its scalar loop: the row pair tracks the
+    // 8-wide log-code add's speedup, like axpy vs axpy_scalar.
+    k::force_scalar(true);
+    add("integrate_conv_q_scalar", g.cout, measure(reps, ms, conv_q));
+    k::force_scalar(false);
     checksum += static_cast<double>(qacc[0]);
 
     // --- integrate_fc_q: the int16 fixed-point classifier sweep -------------
@@ -213,11 +219,15 @@ int main(int argc, char** argv) {
     std::int32_t* qfacc = qabuf.ensure(ostride);
     std::fill(qfacc, qfacc + ostride, 0);
     const auto fc_spikes = full_spike_train(in, kernel.window());
-    add("integrate_fc_q", out, measure(reps, ms, [&] {
-          return k::integrate_fc_q(out, ostride, qfw, fc_spikes.data(),
-                                   static_cast<std::int64_t>(fc_spikes.size()), qp, qfacc, 0,
-                                   ostride);
-        }));
+    const auto fc_q = [&] {
+      return k::integrate_fc_q(out, ostride, qfw, fc_spikes.data(),
+                               static_cast<std::int64_t>(fc_spikes.size()), qp, qfacc, 0,
+                               ostride);
+    };
+    add("integrate_fc_q", out, measure(reps, ms, fc_q));
+    k::force_scalar(true);
+    add("integrate_fc_q_scalar", out, measure(reps, ms, fc_q));
+    k::force_scalar(false);
     checksum += static_cast<double>(qfacc[0]);
   }
 

@@ -60,9 +60,20 @@ std::int64_t LogPe::accumulate(int sign, int q, int step) {
   // acc_frac_bits via a barrel shift.
   const std::int64_t lut_value = lut_[static_cast<std::size_t>(frac)];
   const int shift = int_part + config_.acc_frac_bits - config_.lut_bits;
+  // Saturating accumulator, like the fixed-width Vmem register in the PE.
+  // A two's-complement (int+frac)-bit register holds [-2^(w-1), 2^(w-1) - 1]
+  // LSBs; saturating to +limit would overshoot the representable maximum by
+  // one LSB.
+  const std::int64_t limit = std::int64_t{1}
+                             << (config_.acc_int_bits + config_.acc_frac_bits);
   std::int64_t add;
   if (shift >= 0) {
-    add = lut_value << shift;
+    // Capped before the shift so a huge exponent cannot overflow int64. An
+    // add of magnitude 2 * limit - 1 already drives any register value to
+    // the rail the uncapped product would, so the cap changes no result.
+    // Summed as limit + (limit - 1): 2 * limit overflows a 62-bit register's.
+    const std::int64_t cap = limit + (limit - 1);
+    add = shift < 63 && lut_value <= (cap >> shift) ? lut_value << shift : cap;
   } else if (-shift < 63) {
     // Round-to-nearest on the right shift (the hardware adds the dropped MSB).
     add = (lut_value + (std::int64_t{1} << (-shift - 1))) >> -shift;
@@ -70,15 +81,15 @@ std::int64_t LogPe::accumulate(int sign, int q, int step) {
     add = 0;
   }
   if (sign < 0) add = -add;
-  acc_ += add;
-  // Saturating accumulator, like the fixed-width Vmem register in the PE.
-  // A two's-complement (int+frac)-bit register holds [-2^(w-1), 2^(w-1) - 1]
-  // LSBs; saturating to +limit would overshoot the representable maximum by
-  // one LSB.
-  const std::int64_t limit = std::int64_t{1}
-                             << (config_.acc_int_bits + config_.acc_frac_bits);
-  if (acc_ > limit - 1) acc_ = limit - 1;
-  if (acc_ < -limit) acc_ = -limit;
+  // Compared against the headroom instead of summed first: acc_ + add may
+  // not fit int64 for a 62-bit register.
+  if (add > limit - 1 - acc_) {
+    acc_ = limit - 1;
+  } else if (add < -limit - acc_) {
+    acc_ = -limit;
+  } else {
+    acc_ += add;
+  }
   return add;
 }
 

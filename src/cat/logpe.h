@@ -44,7 +44,9 @@ class LogPe {
   std::int32_t spike_exponent_code(int step) const;
 
   // Accumulates w * kappa(step) where the weight is (sign, q). Returns the
-  // value added, in accumulator LSBs.
+  // value added, in accumulator LSBs. A product of magnitude past
+  // 2 * limit - 1 (limit = 2^(acc_int_bits + acc_frac_bits)) is returned
+  // capped there: any larger add lands on the same saturation rail.
   std::int64_t accumulate(int sign, int q, int step);
 
   // Current membrane value converted back to double.

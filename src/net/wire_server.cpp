@@ -413,9 +413,12 @@ void WireServer::sweep_idle(std::chrono::steady_clock::time_point now) {
     }
   }
   for (const std::uint64_t key : victims) {
+    {
+      // Counted before the close: a client that sees EOF reads the count.
+      util::MutexLock lock{mu_};
+      ++stats_.idle_closed;
+    }
     close_conn(key);
-    util::MutexLock lock{mu_};
-    ++stats_.idle_closed;
   }
 }
 

@@ -75,6 +75,12 @@ inline void tap_axpy(float* acc, const float* w, float v, std::int64_t n) {
 // and a spike at `step`. Mirrors cat::LogPe::accumulate exactly — asserted
 // add-for-add in tests/snn_quant_test.cpp — so traces from these kernels
 // co-simulate against hw/processor with no drift.
+//
+// A left shift is capped at 2 * limit - 1 before it is taken, so a huge
+// exponent (a weight of 2^50, say) cannot overflow int64. The cap is exact:
+// the register holds [-limit, limit - 1], and an add of magnitude
+// 2 * limit - 1 already drives any register value to the same rail as the
+// uncapped product would.
 inline std::int64_t quant_product(const QuantKernelParams& qp, int q, int step) {
   const std::int32_t code = static_cast<std::int32_t>(q) * qp.wmul -
                             static_cast<std::int32_t>(step) * qp.smul;
@@ -82,7 +88,10 @@ inline std::int64_t quant_product(const QuantKernelParams& qp, int q, int step) 
   const std::int32_t int_part = code >> qp.frac_bits;  // floor division
   const std::int64_t lut_value = qp.lut[static_cast<std::size_t>(code & mask)];
   const int shift = int_part + qp.acc_frac_bits - qp.lut_bits;
-  if (shift >= 0) return lut_value << shift;
+  if (shift >= 0) {
+    const std::int64_t cap = 2 * qp.acc_limit - 1;
+    return shift < 63 && lut_value <= (cap >> shift) ? lut_value << shift : cap;
+  }
   if (-shift < 63) {
     // Round-to-nearest on the right shift (the hardware adds the dropped MSB).
     return (lut_value + (std::int64_t{1} << (-shift - 1))) >> -shift;
@@ -98,6 +107,55 @@ inline void quant_add(std::int32_t& acc, std::int64_t add, std::int64_t limit) {
   if (v < -limit) v = -limit;
   acc = static_cast<std::int32_t>(v);
 }
+
+// Widest code range the 8-wide log-code add tables: two 8-lane vpermd halves.
+constexpr int kVecQuantCodes = 16;
+
+#if defined(TTFS_SIMD_AVX2)
+// 8 lanes of LogCodeTaps::span_add per iteration over the int32 product
+// table `tab` (kVecQuantCodes entries, every one <= INT32_MAX). Returns the
+// lanes done (n rounded down to 8); the caller runs the rest scalar.
+//  * lookup — two vpermd over the table halves, blended on idx > 7 (no
+//    vpgather: it was slower than the scalar loop on AVX2 hosts);
+//  * sign — psignd by (c << 31) | 1, zeroed on kQuantZeroCode lanes;
+//  * add — wrapped int32 sum, lanes that overflowed (operands agree in
+//    sign, sum differs) set to INT32_MIN/MAX, then clamped to
+//    [-limit, limit - 1]. For limit <= 2^31 that clamp of the int32-
+//    saturated sum equals quant_add's clamp of the exact sum, bit for bit.
+inline std::int64_t span_add_avx2(std::int32_t* acc, const std::int16_t* codes, std::int64_t n,
+                                  const std::int32_t* tab, int q_lo, std::int64_t limit) {
+  const __m256i tab_lo = _mm256_load_si256(reinterpret_cast<const __m256i*>(tab));
+  const __m256i tab_hi = _mm256_load_si256(reinterpret_cast<const __m256i*>(tab + 8));
+  const __m256i vq_lo = _mm256_set1_epi32(q_lo);
+  const __m256i seven = _mm256_set1_epi32(7);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i zero_code = _mm256_set1_epi32(kQuantZeroCode);
+  const __m256i int_max = _mm256_set1_epi32(INT32_MAX);
+  const __m256i rail_lo = _mm256_set1_epi32(static_cast<std::int32_t>(-limit));
+  const __m256i rail_hi = _mm256_set1_epi32(static_cast<std::int32_t>(limit - 1));
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i c = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i)));
+    const __m256i idx = _mm256_sub_epi32(_mm256_srai_epi32(c, 1), vq_lo);
+    const __m256i mag = _mm256_blendv_epi8(_mm256_permutevar8x32_epi32(tab_lo, idx),
+                                           _mm256_permutevar8x32_epi32(tab_hi, idx),
+                                           _mm256_cmpgt_epi32(idx, seven));
+    const __m256i sign = _mm256_andnot_si256(
+        _mm256_cmpeq_epi32(c, zero_code), _mm256_or_si256(_mm256_slli_epi32(c, 31), one));
+    const __m256i add = _mm256_sign_epi32(mag, sign);
+    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    const __m256i sum = _mm256_add_epi32(a, add);
+    const __m256i ovf = _mm256_and_si256(_mm256_xor_si256(a, sum), _mm256_xor_si256(add, sum));
+    const __m256i rail = _mm256_xor_si256(_mm256_srai_epi32(a, 31), int_max);
+    const __m256i sat = _mm256_castps_si256(_mm256_blendv_ps(
+        _mm256_castsi256_ps(sum), _mm256_castsi256_ps(rail), _mm256_castsi256_ps(ovf)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
+                        _mm256_min_epi32(_mm256_max_epi32(sat, rail_lo), rail_hi));
+  }
+  return i;
+}
+#endif
 
 // --- Accumulator policies ------------------------------------------------------
 //
@@ -125,6 +183,10 @@ struct FloatTaps {
 };
 
 // Log-code membranes: each add is the LogPe product into a saturating int32.
+// The Simd instantiation runs span_add_avx2 on step groups whose product
+// table fits it (step_prepare decides once per group) and the scalar loop on
+// every other group and on span tails, so any input gives the same bits.
+template <bool Simd>
 struct LogCodeTaps {
   using Weight = std::int16_t;
   using Acc = std::int32_t;
@@ -135,6 +197,14 @@ struct LogCodeTaps {
   // the pack build caps the range.
   void step_prepare(int step) {
     for (int q = qp.q_lo; q <= qp.q_hi; ++q) table[q - qp.q_lo] = quant_product(qp, q, step);
+    if constexpr (Simd) {
+      const int codes = qp.q_hi - qp.q_lo + 1;
+      vec = codes <= kVecQuantCodes;
+      for (int k = 0; vec && k < codes; ++k) {
+        vec = table[k] <= INT32_MAX;
+        if (vec) table32[k] = static_cast<std::int32_t>(table[k]);
+      }
+    }
   }
   // Codes are sign+q pairs (code = q*2 + negbit); kQuantZeroCode lanes (zero
   // weights, padding) contribute nothing, like the float pack's 0.0 weights.
@@ -144,7 +214,13 @@ struct LogCodeTaps {
   void span_add(std::int32_t* acc, const std::int16_t* codes, std::int64_t n) const {
     const int q_lo = qp.q_lo;
     const std::int64_t limit = qp.acc_limit;
-    for (std::int64_t i = 0; i < n; ++i) {
+    std::int64_t i = 0;
+#if defined(TTFS_SIMD_AVX2)
+    if constexpr (Simd) {
+      if (vec) i = span_add_avx2(acc, codes, n, table32, q_lo, limit);
+    }
+#endif
+    for (; i < n; ++i) {
       const std::int16_t c = codes[i];
       if (c == kQuantZeroCode) continue;
       const std::int64_t add = table[(c >> 1) - q_lo];  // arithmetic shift: q
@@ -154,6 +230,8 @@ struct LogCodeTaps {
 
   const QuantKernelParams& qp;
   std::int64_t table[kMaxQuantCodes];
+  alignas(32) std::int32_t table32[kVecQuantCodes] = {};
+  bool vec = false;  // this step group's table fits span_add_avx2
 };
 
 // --- Layer traversals ----------------------------------------------------------
@@ -318,14 +396,20 @@ std::int64_t integrate_fc(std::int64_t out, std::int64_t ostride, const float* w
 std::int64_t integrate_conv_q(const ConvGeom& g, const std::int16_t* w, const Spike* spikes,
                               std::int64_t nspikes, const QuantKernelParams& qp,
                               std::int32_t* acc, std::int64_t yo0, std::int64_t yo1) {
-  return integrate_conv_impl(g, w, spikes, nspikes, LogCodeTaps{qp}, acc, yo0, yo1);
+  if (simd_active()) {
+    return integrate_conv_impl(g, w, spikes, nspikes, LogCodeTaps<true>{qp}, acc, yo0, yo1);
+  }
+  return integrate_conv_impl(g, w, spikes, nspikes, LogCodeTaps<false>{qp}, acc, yo0, yo1);
 }
 
 std::int64_t integrate_fc_q(std::int64_t out, std::int64_t ostride, const std::int16_t* w,
                             const Spike* spikes, std::int64_t nspikes,
                             const QuantKernelParams& qp, std::int32_t* acc, std::int64_t j0,
                             std::int64_t j1) {
-  return integrate_fc_impl(out, ostride, w, spikes, nspikes, LogCodeTaps{qp}, acc, j0, j1);
+  if (simd_active()) {
+    return integrate_fc_impl(out, ostride, w, spikes, nspikes, LogCodeTaps<true>{qp}, acc, j0, j1);
+  }
+  return integrate_fc_impl(out, ostride, w, spikes, nspikes, LogCodeTaps<false>{qp}, acc, j0, j1);
 }
 
 }  // namespace ttfs::snn::kernels

@@ -198,8 +198,17 @@ std::int64_t integrate_fc(std::int64_t out, std::int64_t ostride, const float* w
 // synaptic add is the cat::LogPe LUT/barrel-shift product, bit-identical to
 // LogPe::accumulate, so the traces co-simulate against hw/processor exactly.
 // Blocking, timestep grouping, tap geometry and op accounting are shared
-// code, so both policies emit identical spike orders and counters. The
-// log-code span add is scalar.
+// code, so both policies emit identical spike orders and counters.
+//
+// The log-code span add runs 8 lanes per AVX2 iteration when simd_active():
+// table lookup by two vpermd, sign and zero-code masking, then a saturating
+// int32 add clamped to [-limit, limit - 1]. Exactness guard: the vector body
+// runs only for timestep groups whose layer code range is <= 16 codes and
+// whose every product is <= INT32_MAX (decided once per group); every other
+// group, and each span's tail past a multiple of 8, takes the scalar loop,
+// so the bits equal the scalar build's for any input. Products of a left
+// shift are capped at 2 * limit - 1 (still exact: the register saturates
+// on the same rail), so no exponent overflows int64.
 
 // Upper bound on a layer's weight-code range q_hi - q_lo + 1: the kernels
 // table one product per distinct code per timestep group on the stack, so the

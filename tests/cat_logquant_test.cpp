@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "cat/logpe.h"
@@ -250,6 +251,23 @@ TEST(LogPe, RejectsOverwideAccumulator) {
   ok.acc_int_bits = 42;
   ok.acc_frac_bits = 20;  // 62 bits: the widest supported register
   EXPECT_NO_THROW(LogPe{ok});
+}
+
+TEST(LogPe, WidestRegisterSaturatesOnHugeProduct) {
+  // A 62-bit register and a weight of 2^50: the product is capped before
+  // the shift and the cap (2 * limit - 1 = INT64_MAX here) must itself not
+  // overflow. Repeated adds stay on the rails; clean under UBSan.
+  LogPeConfig cfg;
+  cfg.acc_int_bits = 42;
+  cfg.acc_frac_bits = 20;
+  LogPe pe{cfg};
+  const std::int64_t limit = std::int64_t{1} << 62;
+  for (const int sign : {1, -1}) {
+    pe.reset();
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(pe.accumulate(sign, 100, 0), sign * INT64_MAX);
+    EXPECT_DOUBLE_EQ(pe.membrane(),
+                     std::ldexp(static_cast<double>(sign > 0 ? limit - 1 : -limit), -20));
+  }
 }
 
 TEST(LogPe, RejectsBadConfig) {

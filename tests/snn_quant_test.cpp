@@ -9,7 +9,8 @@
 //    through integrate_fc_q equals LogPe::accumulate add-for-add, so traces
 //    from the quantized kernels co-simulate against hw/processor exactly;
 //  * the saturating int32 accumulator clamps to [-limit, limit - 1] like the
-//    PE's Vmem register;
+//    PE's Vmem register, and a product too large to shift (a 2^50 weight)
+//    is capped without overflow and saturates the same way;
 //  * the pack build rejects unquantized weights and non-hardware kernels
 //    instead of silently packing nearest codes;
 //  * the quantized pack is ~2x smaller than the float event pack under the
@@ -52,6 +53,22 @@ snn::SnnNetwork make_net(Rng& rng) {
   net.add_fc(random_tensor({10, 8 * 4 * 4}, rng, -0.1F, 0.12F),
              random_tensor({10}, rng, -0.05F, 0.05F));
   return net;
+}
+
+// Kernel parameters over a LogPe's own table and geometry, for one code range.
+snn::kernels::QuantKernelParams kernel_params(const cat::LogPe& pe, int q_lo, int q_hi) {
+  const cat::LogPeConfig& c = pe.config();
+  snn::kernels::QuantKernelParams qp;
+  qp.lut = pe.lut().data();  // the shared table, by construction
+  qp.frac_bits = c.frac_bits();
+  qp.lut_bits = c.lut_bits;
+  qp.acc_frac_bits = c.acc_frac_bits;
+  qp.acc_limit = std::int64_t{1} << (c.acc_int_bits + c.acc_frac_bits);
+  qp.wmul = 1 << (qp.frac_bits - c.z);
+  qp.smul = 1 << (qp.frac_bits - c.p);
+  qp.q_lo = q_lo;
+  qp.q_hi = q_hi;
+  return qp;
 }
 
 // Walks one weight tensor against its packed codes via an accessor
@@ -161,19 +178,9 @@ TEST(QuantKernels, IntegrateFcMatchesLogPeAccumulateAddForAdd) {
   pe_config.acc_int_bits = 7;
   cat::LogPe pe{pe_config};
 
-  snn::kernels::QuantKernelParams qp;
-  qp.lut = pe.lut().data();  // the shared table, by construction
-  qp.frac_bits = pe_config.frac_bits();
-  qp.lut_bits = pe_config.lut_bits;
-  qp.acc_frac_bits = pe_config.acc_frac_bits;
-  qp.acc_limit = std::int64_t{1} << (pe_config.acc_int_bits + pe_config.acc_frac_bits);
-  qp.wmul = 1 << (qp.frac_bits - pe_config.z);
-  qp.smul = 1 << (qp.frac_bits - pe_config.p);
-
   const std::int64_t ostride = snn::kernels::kLaneFloats;
   for (int q = -12; q <= 12; ++q) {
-    qp.q_lo = q;
-    qp.q_hi = q;
+    const snn::kernels::QuantKernelParams qp = kernel_params(pe, q, q);
     for (const int sign : {1, -1}) {
       std::int16_t codes[8];
       std::fill(codes, codes + 8, snn::kQuantZeroCode);
@@ -209,16 +216,8 @@ TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
   pe_config.acc_int_bits = 2;  // limit = 2^26 LSBs = 4.0: easy to overflow
   cat::LogPe pe{pe_config};
 
-  snn::kernels::QuantKernelParams qp;
-  qp.lut = pe.lut().data();
-  qp.frac_bits = pe_config.frac_bits();
-  qp.lut_bits = pe_config.lut_bits;
-  qp.acc_frac_bits = pe_config.acc_frac_bits;
-  qp.acc_limit = std::int64_t{1} << (pe_config.acc_int_bits + pe_config.acc_frac_bits);
-  qp.wmul = 1 << (qp.frac_bits - pe_config.z);
-  qp.smul = 1 << (qp.frac_bits - pe_config.p);
-  qp.q_lo = 4;  // q = 4, z = 1 -> weight 2^2 = 4.0
-  qp.q_hi = 4;
+  const snn::kernels::QuantKernelParams qp =
+      kernel_params(pe, 4, 4);  // q = 4, z = 1 -> weight 2^2 = 4.0
 
   for (const int sign : {1, -1}) {
     std::int16_t codes[8];
@@ -241,6 +240,59 @@ TEST(QuantKernels, AccumulatorSaturatesToRegisterRange) {
       EXPECT_EQ(static_cast<std::int64_t>(acc[0]), -qp.acc_limit);
     }
   }
+}
+
+// A weight of exactly 2^50 (z = 1, q = 100) asks the barrel shifter for a
+// 50-place shift of a 2^24-scale LUT entry, far past int64. Both the kernel
+// and LogPe cap the product at 2 * limit - 1 before shifting — an add that
+// already lands any register value on the rail the exact product would — so
+// they agree add for add, and the run is clean under -fsanitize=undefined
+// (which checks shifts). The same weight through a packed net saturates the
+// logits instead of wrapping.
+TEST(QuantKernels, HugeWeightCapsTheShiftAndSaturates) {
+  cat::LogPeConfig pe_config;  // p = 2, z = 1; register geometry = pack defaults
+  const snn::QuantPackConfig pack_defaults;
+  pe_config.lut_bits = pack_defaults.lut_bits;
+  pe_config.acc_frac_bits = pack_defaults.acc_frac_bits;
+  pe_config.acc_int_bits = pack_defaults.acc_int_bits;
+  cat::LogPe pe{pe_config};
+
+  const int q = 100;  // |w| = 2^(100 / 2) = 2^50
+  const snn::kernels::QuantKernelParams qp = kernel_params(pe, q, q);
+
+  for (const int sign : {1, -1}) {
+    std::int16_t codes[8];
+    std::fill(codes, codes + 8, snn::kQuantZeroCode);
+    codes[0] = static_cast<std::int16_t>(q * 2 + (sign < 0 ? 1 : 0));
+    for (const int step : {0, 1, 23}) {
+      std::int32_t acc[8] = {0};
+      const snn::Spike spike{0, step};
+      (void)snn::kernels::integrate_fc_q(1, 8, codes, &spike, 1, qp, acc, 0, 8);
+
+      pe.reset();
+      const std::int64_t add = pe.accumulate(sign, q, step);
+      EXPECT_EQ(add, sign * (2 * qp.acc_limit - 1)) << "sign=" << sign << " step=" << step;
+      EXPECT_EQ(static_cast<std::int64_t>(acc[0]), sign > 0 ? qp.acc_limit - 1 : -qp.acc_limit)
+          << "sign=" << sign << " step=" << step;
+      EXPECT_EQ(std::ldexp(static_cast<double>(acc[0]), -qp.acc_frac_bits), pe.membrane())
+          << "sign=" << sign << " step=" << step;
+    }
+  }
+
+  // Packed through the quantized backend: one input, outputs +2^50 and -2^50.
+  snn::SnnNetwork net{snn::Base2Kernel{24, 4.0, 1.0}};
+  net.add_fc(Tensor{{2, 1}, std::vector<float>{std::ldexp(1.0F, 50), -std::ldexp(1.0F, 50)}},
+             Tensor{{2}});
+  net.ensure_quantized(pack_defaults);
+  const Tensor img{{1, 1, 1}, std::vector<float>{1.0F}};
+  snn::SimArena arena;
+  const snn::EventTrace trace =
+      snn::detail::run_quantized_event_sim_span(net, img.data(), 1, 1, 1, arena);
+  ASSERT_EQ(trace.logits.numel(), 2);
+  EXPECT_EQ(trace.logits[0], static_cast<float>(std::ldexp(static_cast<double>(qp.acc_limit - 1),
+                                                           -qp.acc_frac_bits)));
+  EXPECT_EQ(trace.logits[1],
+            static_cast<float>(std::ldexp(static_cast<double>(-qp.acc_limit), -qp.acc_frac_bits)));
 }
 
 // Unquantized weights must be rejected with a pointer at the quantizer, not

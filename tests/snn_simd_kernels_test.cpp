@@ -3,15 +3,18 @@
 // packed-row bias broadcast, cache-block tiling, and full-simulator
 // conformance against the frozen reference for geometries that stress the
 // lane padding — cout/out not a multiple of the vector width, stride-2 +
-// padded conv taps, single-pixel layers, and empty timestep groups. In a
+// padded conv taps, single-pixel layers, and empty timestep groups — and the
+// log-code kernels' 8-wide add against their scalar loop and cat::LogPe. In a
 // TTFS_SIMD=OFF build force_scalar() is a no-op and every case still runs:
 // the suite then asserts the scalar fallback against the reference, which is
 // exactly what the CI simd-off lane is for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "cat/logpe.h"
 #include "cat/logquant.h"
 #include "snn/engine.h"
 #include "snn/event_sim.h"
@@ -308,6 +311,229 @@ TEST(KernelConformance, IntraSampleSplitMatchesReference) {
       const char* what = scalar ? "quant-intra-scalar" : "quant-intra-simd";
       expect_traces_identical(split.traces[0], inline_run.traces[0], what);
       expect_traces_identical(split.traces[0], qref, what, /*logits=*/false);
+    }
+  }
+}
+
+// --- Log-code kernels: 8-wide add vs scalar loop vs cat::LogPe ---------------
+
+// Kernel parameters for a LogPe geometry and code range, as the quantized
+// backend derives them from its pack.
+k::QuantKernelParams quant_params(const cat::LogPe& pe, int q_lo, int q_hi) {
+  const cat::LogPeConfig& c = pe.config();
+  k::QuantKernelParams qp;
+  qp.lut = pe.lut().data();
+  qp.frac_bits = c.frac_bits();
+  qp.lut_bits = c.lut_bits;
+  qp.acc_frac_bits = c.acc_frac_bits;
+  qp.acc_limit = std::int64_t{1} << (c.acc_int_bits + c.acc_frac_bits);
+  qp.wmul = 1 << (qp.frac_bits - c.z);
+  qp.smul = 1 << (qp.frac_bits - c.p);
+  qp.q_lo = q_lo;
+  qp.q_hi = q_hi;
+  return qp;
+}
+
+// `count` spikes over `neurons` inputs, (step, neuron)-sorted across the
+// 24-step window, several per step group.
+std::vector<snn::Spike> random_spike_train(Rng& rng, std::int64_t neurons, int count) {
+  std::vector<snn::Spike> spikes;
+  for (int i = 0; i < count; ++i) {
+    spikes.push_back({static_cast<std::int32_t>(rng.uniform_int(0, neurons - 1)),
+                      static_cast<int>(rng.uniform_int(0, 23))});
+  }
+  std::stable_sort(spikes.begin(), spikes.end(),
+                   [](const snn::Spike& a, const snn::Spike& b) { return a.step < b.step; });
+  return spikes;
+}
+
+// `n` sign+q codes over [q_lo, q_hi] with kQuantZeroCode interleaved at
+// random; every code of the range appears at least once when n allows.
+std::vector<std::int16_t> random_codes(Rng& rng, std::int64_t n, int q_lo, int q_hi) {
+  std::vector<std::int16_t> codes(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const int q = i <= q_hi - q_lo ? q_lo + static_cast<int>(i)
+                                   : static_cast<int>(rng.uniform_int(q_lo, q_hi));
+    codes[static_cast<std::size_t>(i)] =
+        rng.bernoulli(0.25) ? snn::kQuantZeroCode
+                            : static_cast<std::int16_t>(q * 2 + (rng.bernoulli(0.5) ? 1 : 0));
+  }
+  rng.shuffle(codes);
+  return codes;
+}
+
+// Register seeds: a third within 2^24 LSBs of each rail, a third anywhere.
+std::vector<std::int32_t> seeded_acc(Rng& rng, std::int64_t n, std::int64_t limit) {
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(n));
+  for (std::int32_t& a : acc) {
+    const std::int64_t near = rng.uniform_int(0, std::int64_t{1} << 24);
+    switch (rng.uniform_int(0, 2)) {
+      case 0: a = static_cast<std::int32_t>(limit - 1 - near); break;
+      case 1: a = static_cast<std::int32_t>(-limit + near); break;
+      default: a = static_cast<std::int32_t>(rng.uniform_int(-limit, limit - 1)); break;
+    }
+  }
+  return acc;
+}
+
+// One synaptic add as the PE does it: LogPe's product, saturated into the
+// register range.
+void pe_add(cat::LogPe& pe, std::int16_t code, int step, std::int64_t limit, std::int32_t& acc) {
+  if (code == snn::kQuantZeroCode) return;
+  pe.reset();
+  const std::int64_t v = acc + pe.accumulate((code & 1) != 0 ? -1 : 1, code >> 1, step);
+  acc = static_cast<std::int32_t>(std::clamp(v, -limit, limit - 1));
+}
+
+struct QuantRun {
+  std::vector<std::int32_t> acc;
+  std::int64_t ops = 0;
+};
+
+// Runs `kernel` on a copy of `seed` on the dispatch-default path and forced
+// scalar; asserts the two bitwise equal and returns the default run.
+template <typename Kernel>
+QuantRun run_simd_and_scalar(const std::vector<std::int32_t>& seed, Kernel kernel,
+                             const char* what) {
+  QuantRun simd{seed, 0};
+  simd.ops = kernel(simd.acc.data());
+  QuantRun scalar{seed, 0};
+  {
+    ScopedScalar path{true};
+    scalar.ops = kernel(scalar.acc.data());
+  }
+  EXPECT_EQ(simd.ops, scalar.ops) << what;
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    EXPECT_EQ(simd.acc[i], scalar.acc[i]) << what << " lane " << i;
+  }
+  return simd;
+}
+
+// One log-code scenario: register width, code range, spike count.
+struct QuantCase {
+  const char* what;
+  int acc_int_bits;  // with acc_frac_bits = 24
+  int q_lo, q_hi;
+  int spikes;
+};
+
+// 26-bit registers saturate inside int32; 31-bit registers saturate at the
+// int32 rails, where the 8-wide sum wraps and must be caught. Ranges of 16
+// codes take the 8-wide add, 17 the scalar fallback; q up to 16 at 31 bits
+// puts products past INT32_MAX in the early step groups only, so one
+// integration mixes vector and fallback groups.
+const QuantCase kQuantCases[] = {
+    {"w26 q[-10,0]", 2, -10, 0, 60},   {"w31 q[-10,0]", 7, -10, 0, 60},
+    {"w26 16 codes", 2, -15, 0, 60},   {"w26 17 codes", 2, -16, 0, 60},
+    {"w31 16 codes", 7, -15, 0, 60},   {"w31 17 codes", 7, -16, 0, 60},
+    {"w31 > INT32_MAX", 7, 4, 16, 60},
+};
+
+cat::LogPe case_pe(const QuantCase& c) {
+  cat::LogPeConfig cfg;  // p = 2, z = 1
+  cfg.lut_bits = 24;
+  cfg.acc_frac_bits = 24;
+  cfg.acc_int_bits = c.acc_int_bits;
+  return cat::LogPe{cfg};
+}
+
+TEST(QuantKernelSimd, FcMatchesScalarAndLogPeOnEverySpan) {
+  // out = 13 in a 16-lane column: spans [0, 13) (8 vector + 5 tail lanes),
+  // [0, 16) (padding included), [8, 13) (tail only) and [0, 5) (sub-lane).
+  Rng rng{907};
+  const std::int64_t in = 7, out = 13, ostride = k::padded(out);
+  for (const QuantCase& c : kQuantCases) {
+    cat::LogPe pe = case_pe(c);
+    const k::QuantKernelParams qp = quant_params(pe, c.q_lo, c.q_hi);
+    std::vector<std::int16_t> w = random_codes(rng, in * ostride, c.q_lo, c.q_hi);
+    for (std::int64_t i = 0; i < in; ++i) {
+      std::fill(w.begin() + i * ostride + out, w.begin() + (i + 1) * ostride,
+                snn::kQuantZeroCode);
+    }
+    const std::vector<snn::Spike> spikes = random_spike_train(rng, in, c.spikes);
+    const auto n = static_cast<std::int64_t>(spikes.size());
+    for (const auto& [j0, j1] : {std::pair<std::int64_t, std::int64_t>{0, out},
+                                 {0, ostride}, {8, out}, {0, 5}}) {
+      const std::vector<std::int32_t> seed = seeded_acc(rng, ostride, qp.acc_limit);
+      const QuantRun got = run_simd_and_scalar(
+          seed,
+          [&](std::int32_t* acc) {
+            return k::integrate_fc_q(out, ostride, w.data(), spikes.data(), n, qp, acc, j0, j1);
+          },
+          c.what);
+      std::vector<std::int32_t> want = seed;
+      for (const snn::Spike& s : spikes) {
+        for (std::int64_t j = j0; j < j1; ++j) {
+          pe_add(pe, w[static_cast<std::size_t>(s.neuron * ostride + j)], s.step, qp.acc_limit,
+                 want[static_cast<std::size_t>(j)]);
+        }
+      }
+      EXPECT_EQ(got.ops, (std::min(j1, out) - std::min(j0, out)) * n) << c.what;
+      for (std::int64_t j = 0; j < ostride; ++j) {
+        ASSERT_EQ(got.acc[static_cast<std::size_t>(j)], want[static_cast<std::size_t>(j)])
+            << c.what << " span [" << j0 << ", " << j1 << ") lane " << j;
+      }
+    }
+  }
+}
+
+TEST(QuantKernelSimd, ConvMatchesScalarAndLogPe) {
+  // cout 13 (two 8-lane strips, the second half padding), 3x3 taps with
+  // pad 1 over a 5x5 grid: edge taps clip, interior taps land 9 times.
+  Rng rng{908};
+  k::ConvGeom g;
+  g.cin = 3;
+  g.hin = g.win = 5;
+  g.cout = 13;
+  g.cstride = k::padded(g.cout);
+  g.kh = g.kw = 3;
+  g.stride = 1;
+  g.pad = 1;
+  g.oh = g.ow = 5;
+  const std::int64_t slots = g.cin * g.kh * g.kw;
+  for (const QuantCase& c : kQuantCases) {
+    cat::LogPe pe = case_pe(c);
+    const k::QuantKernelParams qp = quant_params(pe, c.q_lo, c.q_hi);
+    std::vector<std::int16_t> w = random_codes(rng, slots * g.cstride, c.q_lo, c.q_hi);
+    for (std::int64_t slot = 0; slot < slots; ++slot) {
+      std::fill(w.begin() + slot * g.cstride + g.cout, w.begin() + (slot + 1) * g.cstride,
+                snn::kQuantZeroCode);
+    }
+    const std::vector<snn::Spike> spikes =
+        random_spike_train(rng, g.cin * g.hin * g.win, c.spikes);
+    const auto n = static_cast<std::int64_t>(spikes.size());
+    const std::vector<std::int32_t> seed =
+        seeded_acc(rng, g.oh * g.ow * g.cstride, qp.acc_limit);
+    const QuantRun got = run_simd_and_scalar(
+        seed,
+        [&](std::int32_t* acc) {
+          return k::integrate_conv_q(g, w.data(), spikes.data(), n, qp, acc, 0, g.oh);
+        },
+        c.what);
+
+    std::vector<std::int32_t> want = seed;
+    std::int64_t ops = 0;
+    for (const snn::Spike& s : spikes) {
+      const std::int64_t ci = s.neuron / (g.hin * g.win);
+      const std::int64_t yi = s.neuron / g.win % g.hin;
+      const std::int64_t xi = s.neuron % g.win;
+      for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+        for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+          const std::int64_t yo = yi + g.pad - ky;
+          const std::int64_t xo = xi + g.pad - kx;
+          if (yo < 0 || yo >= g.oh || xo < 0 || xo >= g.ow) continue;
+          ops += g.cout;
+          for (std::int64_t co = 0; co < g.cstride; ++co) {
+            pe_add(pe, w[static_cast<std::size_t>(((ci * g.kh + ky) * g.kw + kx) * g.cstride + co)],
+                   s.step, qp.acc_limit,
+                   want[static_cast<std::size_t>((yo * g.ow + xo) * g.cstride + co)]);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(got.ops, ops) << c.what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got.acc[i], want[i]) << c.what << " acc " << i;
     }
   }
 }

@@ -20,9 +20,10 @@ three invariants CI-enforced:
 
 "Hot function" is decided by name (see HOT_NAME_RE): the integrate_*/fire_*
 kernels (fire_read included), the axpy family, the accumulator policies'
-per-tap methods (step_prepare, span_add), the quantized shift-add helpers,
-and the fire-phase bucketing. Driver functions (run_event_sim*, trace assembly) allocate their
-*outputs* and are deliberately not hot.
+per-tap methods (step_prepare, span_add and its span_add_* vector bodies),
+the quantized shift-add helpers, and the fire-phase bucketing. Driver
+functions (run_event_sim*, trace assembly) allocate their *outputs* and are
+deliberately not hot.
 
 Intentional exceptions are suppressed inline, one finding per line, with a
 mandatory justification:
@@ -65,7 +66,7 @@ CONTRACT_TU = "src/snn/kernels.cpp"
 # A function definition whose name matches is a hot region.
 HOT_NAME_RE = re.compile(
     r"^(?:integrate_\w+|fire_\w+|axpy\w*|tap_axpy|scatter_buckets|pool_layer"
-    r"|broadcast_rows|quant_product|quant_add|step_prepare|span_add)$"
+    r"|broadcast_rows|quant_product|quant_add|step_prepare|span_add\w*)$"
 )
 
 # Heap-allocation (or growth) calls banned inside hot regions.
@@ -430,6 +431,17 @@ def self_test():
                                anchor,
                                anchor + "\n  std::vector<float> v; v.push_back(0.0F);")),
                ["alloc"])
+
+    # The log-code vector body is hot too: a libm call injected there fails.
+    anchor = "  std::int64_t i = 0;\n  for (; i + 8 <= n; i += 8) {\n    const __m256i c ="
+    if anchor not in kernels:
+        failures.append("kernels.cpp span_add_avx2 anchor for injection test not found")
+    else:
+        expect("std::exp2 injected into span_add_avx2",
+               scan_source("src/snn/kernels.cpp",
+                           kernels.replace(anchor,
+                                           "  (void)std::exp2(1.0);\n" + anchor)),
+               ["math"])
 
     # Contraction check: a db with -ffp-contract=fast (or missing) must fail,
     # one with =off (even after =fast earlier on the line) must pass.
